@@ -185,17 +185,65 @@ impl ResourceMask {
     }
 
     /// The intermediate tiles (excluding both endpoints) an operand from `a`
-    /// to `b` traverses; `None` when unreachable. On the full mask this is
-    /// the legacy row-first L-shaped path.
-    pub fn path(&self, spec: &CgraSpec, a: usize, b: usize) -> Option<Vec<usize>> {
+    /// to `b` traverses, walked in place; `None` when unreachable. On the
+    /// full mask this is the legacy row-first L-shaped path, stepped
+    /// arithmetically; on a degraded mask it borrows the BFS table entry.
+    pub fn path(&self, spec: &CgraSpec, a: usize, b: usize) -> Option<Path<'_>> {
         if self.full {
-            return Some(row_first_path(spec, a, b));
+            let (r, c) = spec.coords(a);
+            let (tr, tc) = spec.coords(b);
+            return Some(Path(Walk::RowFirst {
+                tile: a,
+                cols_left: c.abs_diff(tc),
+                col_step: if c < tc { 1 } else { -1 },
+                rows_left: r.abs_diff(tr),
+                row_step: if r < tr { spec.cols as isize } else { -(spec.cols as isize) },
+            }));
         }
         let n = self.alive.len();
         if self.hop_table[a * n + b] == u32::MAX {
             return None;
         }
-        Some(self.path_table[a * n + b].clone())
+        Some(Path(Walk::Table(self.path_table[a * n + b].iter())))
+    }
+}
+
+/// Iterator over the intermediate tiles of one operand route (see
+/// [`ResourceMask::path`]). It allocates nothing: the mapper's hot loops
+/// walk a path once per candidate slot and annealing move.
+#[derive(Debug, Clone)]
+pub struct Path<'a>(Walk<'a>);
+
+#[derive(Debug, Clone)]
+enum Walk<'a> {
+    /// Row-first walk on a full mask: `cols_left` steps of `col_step` along
+    /// the source row, then `rows_left` steps of `row_step` along the
+    /// destination column. `tile` is the tile last visited.
+    RowFirst { tile: usize, cols_left: usize, col_step: isize, rows_left: usize, row_step: isize },
+    /// A precomputed BFS detour on a degraded mask.
+    Table(std::slice::Iter<'a, usize>),
+}
+
+impl Iterator for Path<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match &mut self.0 {
+            Walk::Table(it) => it.next().copied(),
+            Walk::RowFirst { tile, cols_left, col_step, rows_left, row_step } => {
+                if *cols_left > 0 {
+                    *cols_left -= 1;
+                    *tile = tile.wrapping_add_signed(*col_step);
+                } else if *rows_left > 0 {
+                    *rows_left -= 1;
+                    *tile = tile.wrapping_add_signed(*row_step);
+                } else {
+                    return None;
+                }
+                // the destination itself is not an intermediate tile
+                (*cols_left + *rows_left > 0).then_some(*tile)
+            }
+        }
     }
 }
 
@@ -215,32 +263,126 @@ impl fmt::Display for ResourceMask {
     }
 }
 
-/// Row-first L-shaped path between two tiles, excluding both endpoints —
-/// the healthy-fabric routing shape the mapper has always used.
-pub fn row_first_path(spec: &CgraSpec, from: usize, to: usize) -> Vec<usize> {
-    let (fr, fc) = spec.coords(from);
-    let (tr, tc) = spec.coords(to);
-    let mut tiles = Vec::new();
-    let mut c = fc;
-    while c != tc {
-        c = if c < tc { c + 1 } else { c - 1 };
-        tiles.push(fr * spec.cols + c);
-    }
-    let mut r = fr;
-    while r != tr {
-        r = if r < tr { r + 1 } else { r - 1 };
-        tiles.push(r * spec.cols + tc);
-    }
-    tiles.pop(); // drop destination
-    tiles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn spec() -> CgraSpec {
         CgraSpec::picachu(4, 4)
+    }
+
+    /// [`ResourceMask::path`], collected.
+    fn path_vec(m: &ResourceMask, s: &CgraSpec, a: usize, b: usize) -> Option<Vec<usize>> {
+        m.path(s, a, b).map(Iterator::collect)
+    }
+
+    /// Reference row-first L-shaped path, excluding both endpoints: the
+    /// legacy healthy-fabric routing shape.
+    fn ref_row_first(s: &CgraSpec, from: usize, to: usize) -> Vec<usize> {
+        let (fr, fc) = s.coords(from);
+        let (tr, tc) = s.coords(to);
+        let mut tiles = Vec::new();
+        let mut c = fc;
+        while c != tc {
+            c = if c < tc { c + 1 } else { c - 1 };
+            tiles.push(fr * s.cols + c);
+        }
+        let mut r = fr;
+        while r != tr {
+            r = if r < tr { r + 1 } else { r - 1 };
+            tiles.push(r * s.cols + tc);
+        }
+        tiles.pop(); // drop destination
+        tiles
+    }
+
+    /// Reference detours: BFS from `src` over alive tiles and links,
+    /// neighbours up, down, left, right; the intermediates of every
+    /// reachable destination follow the BFS parents.
+    fn ref_bfs_paths(
+        s: &CgraSpec,
+        dead: &[usize],
+        links: &[(usize, usize)],
+        src: usize,
+    ) -> Vec<Option<Vec<usize>>> {
+        let n = s.len();
+        let alive = |t: usize| !dead.contains(&t);
+        let link_ok = |a: usize, b: usize| !links.contains(&(a, b)) && !links.contains(&(b, a));
+        let mut parent = vec![usize::MAX; n];
+        let mut seen = vec![false; n];
+        let mut queue = std::collections::VecDeque::new();
+        if alive(src) {
+            seen[src] = true;
+            queue.push_back(src);
+        }
+        while let Some(u) = queue.pop_front() {
+            let (r, c) = s.coords(u);
+            let mut nbs = Vec::new();
+            if r > 0 {
+                nbs.push(u - s.cols);
+            }
+            if r + 1 < s.rows {
+                nbs.push(u + s.cols);
+            }
+            if c > 0 {
+                nbs.push(u - 1);
+            }
+            if c + 1 < s.cols {
+                nbs.push(u + 1);
+            }
+            for v in nbs {
+                if alive(v) && link_ok(u, v) && !seen[v] {
+                    seen[v] = true;
+                    parent[v] = u;
+                    queue.push_back(v);
+                }
+            }
+        }
+        (0..n)
+            .map(|dst| {
+                if !seen[dst] {
+                    return None;
+                }
+                let mut inter = Vec::new();
+                let mut cur = dst;
+                while parent[cur] != usize::MAX && parent[cur] != src {
+                    cur = parent[cur];
+                    inter.push(cur);
+                }
+                inter.reverse();
+                Some(inter)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn path_walk_matches_reference_on_every_pair() {
+        // (rows, cols, dead tiles, dead links): each degraded mask detours,
+        // and the 1×5 one disconnects the row
+        let cases = [
+            (1, 5, vec![2], vec![]),
+            (2, 3, vec![1], vec![(3, 4)]),
+            (4, 4, vec![5, 6], vec![(9, 10)]),
+            (8, 8, vec![9, 27, 36], vec![(0, 1), (50, 58)]),
+            (16, 16, vec![17, 100, 119, 200], vec![(0, 16), (130, 131), (254, 255)]),
+        ];
+        for (rows, cols, dead, links) in cases {
+            let s = CgraSpec::universal(rows, cols);
+            let full = ResourceMask::full(&s);
+            let m = ResourceMask::degraded(&s, dead.iter().copied(), links.iter().copied());
+            assert!(!m.is_full());
+            for a in 0..s.len() {
+                let reference = ref_bfs_paths(&s, &dead, &links, a);
+                for (b, detour) in reference.iter().enumerate() {
+                    let walk = path_vec(&full, &s, a, b);
+                    assert_eq!(walk, Some(ref_row_first(&s, a, b)), "{rows}x{cols} full {a}->{b}");
+                    assert_eq!(&path_vec(&m, &s, a, b), detour, "{rows}x{cols} {a}->{b}");
+                    if a == b {
+                        assert_eq!(walk, Some(vec![]));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -251,7 +393,6 @@ mod tests {
         for a in 0..s.len() {
             for b in 0..s.len() {
                 assert_eq!(m.hops(&s, a, b), Some(s.hops(a, b)));
-                assert_eq!(m.path(&s, a, b), Some(row_first_path(&s, a, b)));
             }
         }
     }
@@ -291,7 +432,7 @@ mod tests {
         let s2 = CgraSpec::universal(2, 3);
         let m2 = ResourceMask::degraded(&s2, [1], []);
         assert_eq!(m2.hops(&s2, 0, 2), Some(4));
-        let path = m2.path(&s2, 0, 2).expect("reachable");
+        let path = path_vec(&m2, &s2, 0, 2).expect("reachable");
         assert_eq!(path.len(), 3, "4 hops = 3 intermediates: {path:?}");
         assert!(!path.contains(&1), "path must avoid the dead tile");
     }
@@ -306,7 +447,7 @@ mod tests {
         let s2 = CgraSpec::universal(2, 2);
         let m2 = ResourceMask::degraded(&s2, [], [(0, 1)]);
         assert_eq!(m2.hops(&s2, 0, 1), Some(3), "0->2->3->1");
-        assert_eq!(m2.path(&s2, 0, 1), Some(vec![2, 3]));
+        assert_eq!(path_vec(&m2, &s2, 0, 1), Some(vec![2, 3]));
     }
 
     #[test]
@@ -319,7 +460,7 @@ mod tests {
                     assert_eq!(m.hops(&s, a, b), None);
                     continue;
                 }
-                let Some(path) = m.path(&s, a, b) else { continue };
+                let Some(path) = path_vec(&m, &s, a, b) else { continue };
                 let hops = m.hops(&s, a, b).expect("path implies hops");
                 if a == b {
                     assert_eq!(hops, 0);

@@ -369,6 +369,9 @@ pub struct SearchGrid {
     seed: u64,
     mii: u32,
     mode: PnrMode,
+    /// Scheduling priority per node ([`place::priorities`]): the one fact
+    /// about the DFG costly enough to derive once per grid, not per cell.
+    levels: Vec<u32>,
     deadline: Option<Duration>,
     start: Instant,
     timed_out: AtomicBool,
@@ -412,6 +415,7 @@ impl SearchGrid {
             seed,
             mii,
             mode,
+            levels: place::priorities(dfg),
             deadline,
             start: Instant::now(),
             timed_out: AtomicBool::new(false),
@@ -455,10 +459,11 @@ impl SearchGrid {
             PnrMode::Annealed => true,
             PnrMode::Auto => spec.len() > ANNEAL_TILE_THRESHOLD,
         };
+        let prep = place::Prep::new(dfg, spec, mask, &self.levels);
         let placements = if annealed {
-            place::try_place_annealed(dfg, spec, mask, ii, &mut rng)
+            place::try_place_annealed(dfg, spec, mask, &prep, ii, &mut rng)
         } else {
-            place::try_place(dfg, spec, mask, ii, &mut rng)
+            place::try_place(dfg, spec, mask, &prep, ii, &mut rng)
         };
         placements.map(|p| (ii, p))
     }
@@ -639,6 +644,8 @@ pub fn repair_mapping(
     // freeing the chain ends that actually pin the schedule (see
     // `critical_path_nodes`). Phase 1 draws distinct attempt streams via
     // the round offset, so it is a genuinely new portfolio, not a replay.
+    let levels = place::priorities(dfg);
+    let prep = place::Prep::new(dfg, spec, mask, &levels);
     for phase in 0..2usize {
         let mut pins = pinned.clone();
         if phase == 1 {
@@ -662,7 +669,7 @@ pub fn repair_mapping(
                 let s = splitmix64(attempt_seed(seed, ii, idx) ^ 0x52455041_49525F31);
                 let mut rng = TestRng::seed_from_u64(s);
                 if let Some(placements) =
-                    place::try_place_pinned(dfg, spec, mask, ii, &mut rng, &pins)
+                    place::try_place_pinned(dfg, spec, mask, &prep, ii, &mut rng, &pins)
                 {
                     let schedule_len = schedule_len_of(dfg, spec, mask, &placements)?;
                     return Some(Mapping { ii, placements, schedule_len });

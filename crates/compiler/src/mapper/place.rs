@@ -22,6 +22,7 @@
 //! Both engines draw all randomness from the cell's own [`TestRng`] stream,
 //! so the portfolio search stays bit-identical at any thread count.
 
+use super::route::link_index;
 use super::{Placement, ResourceMask, ROUTE_CAP};
 use crate::arch::CgraSpec;
 use picachu_ir::dfg::{Dfg, NodeId};
@@ -57,23 +58,24 @@ impl<'a> State<'a> {
     /// `to` (arriving at `depart + hops`): the pair must be connected on the
     /// alive fabric and every intermediate tile must have routing capacity.
     fn route_free(&self, from: usize, to: usize, depart: u32) -> bool {
-        let Some(path) = self.mask.path(self.spec, from, to) else {
+        let Some(mut path) = self.mask.path(self.spec, from, to) else {
             return false;
         };
-        for (k, &tile) in path.iter().enumerate() {
-            if self.routing[self.idx(tile, depart + k as u32 + 1)] >= ROUTE_CAP {
-                return false;
-            }
-        }
-        true
+        let mut time = depart;
+        path.all(|tile| {
+            time += 1;
+            self.routing[self.idx(tile, time)] < ROUTE_CAP
+        })
     }
 
     fn route_commit(&mut self, from: usize, to: usize, depart: u32) {
         let Some(path) = self.mask.path(self.spec, from, to) else {
             return; // unreachable: route_free succeeded before every commit
         };
-        for (k, tile) in path.into_iter().enumerate() {
-            let i = self.idx(tile, depart + k as u32 + 1);
+        let mut time = depart;
+        for tile in path {
+            time += 1;
+            let i = self.idx(tile, time);
             self.routing[i] += 1;
         }
     }
@@ -113,16 +115,109 @@ pub(crate) fn is_phi_class(op: Opcode) -> bool {
     matches!(op, Opcode::Phi | Opcode::FusedPhiAdd | Opcode::FusedPhiAddAdd)
 }
 
+/// What every step of one placement attempt reads and never changes. The
+/// priorities, the costly part, come precomputed from the search grid; the
+/// rest is derived once per attempt, not per node, candidate or move.
+pub(crate) struct Prep<'a> {
+    /// Scheduling priority per node (see [`priorities`]).
+    levels: &'a [u32],
+    /// Same-iteration consumers per producer, in node-id order.
+    consumers_of: Vec<Vec<usize>>,
+    /// Carried consumers per producer: `(consumer, distance)`.
+    carried_out: Vec<Vec<(usize, u32)>>,
+    /// Alive tiles able to execute each distinct opcode of the DFG,
+    /// ascending; node `v` reads set `tile_set_of[v]`.
+    tile_sets: Vec<Vec<usize>>,
+    tile_set_of: Vec<usize>,
+}
+
+impl<'a> Prep<'a> {
+    /// `levels` must be [`priorities`]`(dfg)`.
+    pub(crate) fn new(
+        dfg: &Dfg,
+        spec: &CgraSpec,
+        mask: &ResourceMask,
+        levels: &'a [u32],
+    ) -> Prep<'a> {
+        let n = dfg.len();
+        let mut consumers_of: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut carried_out: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
+        for node in dfg.nodes() {
+            for e in &node.inputs {
+                if e.distance == 0 {
+                    consumers_of[e.from.0].push(node.id.0);
+                } else {
+                    carried_out[e.from.0].push((node.id.0, e.distance));
+                }
+            }
+        }
+        let mut ops: Vec<Opcode> = Vec::new();
+        let mut tile_sets: Vec<Vec<usize>> = Vec::new();
+        let mut tile_set_of = Vec::with_capacity(n);
+        for node in dfg.nodes() {
+            let set = ops.iter().position(|&op| op == node.op).unwrap_or_else(|| {
+                ops.push(node.op);
+                tile_sets.push(
+                    (0..spec.len())
+                        .filter(|&t| mask.tile_alive(t) && spec.tile_supports(t, node.op))
+                        .collect(),
+                );
+                ops.len() - 1
+            });
+            tile_set_of.push(set);
+        }
+        Prep { levels, consumers_of, carried_out, tile_sets, tile_set_of }
+    }
+
+    /// Alive tiles able to execute node `v`, ascending.
+    fn capable(&self, v: usize) -> &[usize] {
+        &self.tile_sets[self.tile_set_of[v]]
+    }
+
+    /// The attempt's node order: deferred level ascending; within a level,
+    /// φ nodes go last so the *other* inputs of their consumers are already
+    /// placed when the φ's dynamic start time is computed; a seeded jitter
+    /// breaks the remaining ties (one draw per node, in node order).
+    fn order(&self, dfg: &Dfg, rng: &mut TestRng) -> Vec<usize> {
+        let n = dfg.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        let jitter: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
+        order.sort_by_key(|&i| (self.levels[i], is_phi_class(dfg.nodes()[i].op), jitter[i]));
+        order
+    }
+
+    /// Earliest start of a source node `v` (φ, const, invariant load): its
+    /// priority level, raised to align with the actual times of its
+    /// consumers' other, already-placed inputs, so the φ of a reduction
+    /// sits right where its update will fire, not at time 0.
+    fn dynamic_floor(&self, dfg: &Dfg, v: usize, placed: &[Option<Placement>]) -> u32 {
+        let lat = dfg.nodes()[v].op.latency();
+        let mut floor = self.levels[v];
+        for &c in &self.consumers_of[v] {
+            for e in &dfg.nodes()[c].inputs {
+                if e.distance == 0 && e.from.0 != v {
+                    if let Some(p) = placed[e.from.0] {
+                        let rdy = p.time + dfg.nodes()[e.from.0].op.latency();
+                        floor = floor.max(rdy.saturating_sub(lat));
+                    }
+                }
+            }
+        }
+        floor
+    }
+}
+
 pub(crate) fn try_place(
     dfg: &Dfg,
     spec: &CgraSpec,
     mask: &ResourceMask,
+    prep: &Prep,
     ii: u32,
     rng: &mut TestRng,
 ) -> Option<Vec<Placement>> {
     let st = State::new(spec, mask, ii);
     let placed: Vec<Option<Placement>> = vec![None; dfg.len()];
-    place_rest(dfg, spec, mask, ii, rng, st, placed, false)
+    place_rest(dfg, spec, mask, prep, ii, rng, st, placed, false)
 }
 
 /// Validates a set of pinned placements against `mask` and builds the
@@ -203,41 +298,19 @@ pub(crate) fn place_rest(
     dfg: &Dfg,
     spec: &CgraSpec,
     mask: &ResourceMask,
+    prep: &Prep,
     ii: u32,
     rng: &mut TestRng,
     mut st: State<'_>,
     mut placed: Vec<Option<Placement>>,
     repair: bool,
 ) -> Option<Vec<Placement>> {
-    let n = dfg.len();
-    let levels = priorities(dfg);
-    // priority: deferred level asc; within a level, φ nodes go last so the
-    // *other* inputs of their consumers are already placed when the φ's
-    // dynamic start time is computed; random tiebreak otherwise.
-    let mut order: Vec<usize> = (0..n).collect();
-    let jitter: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
-    order.sort_by_key(|&i| (levels[i], is_phi_class(dfg.nodes()[i].op), jitter[i]));
-
-    // same-iteration consumers: producer -> consumer ids
-    let mut consumers_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for node in dfg.nodes() {
-        for e in &node.inputs {
-            if e.distance == 0 {
-                consumers_of[e.from.0].push(node.id.0);
-            }
-        }
-    }
-
-    // carried consumers: producer -> [(consumer, distance)]
-    let mut carried_out: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-    for node in dfg.nodes() {
-        for e in &node.inputs {
-            if e.distance > 0 {
-                carried_out[e.from.0].push((node.id.0, e.distance));
-            }
-        }
-    }
-
+    let order = prep.order(dfg, rng);
+    let Prep { consumers_of, carried_out, .. } = prep;
+    // per-node and per-tile buffers, reused across the whole attempt
+    let mut preds: Vec<(usize, u32)> = Vec::new();
+    let mut pred_hops: Vec<u32> = Vec::new();
+    let mut tiles: Vec<usize> = Vec::with_capacity(spec.len());
     for &v in &order {
         if placed[v].is_some() {
             continue; // pinned by the repair path
@@ -247,35 +320,18 @@ pub(crate) fn place_rest(
         // for hops is applied per candidate below). The priority order is
         // topological over distance-0 edges, so predecessors are placed; if
         // that invariant ever breaks, the attempt fails instead of panicking.
-        let mut preds: Vec<(usize, u32)> = Vec::new();
+        preds.clear();
         for e in node.inputs.iter().filter(|e| e.distance == 0) {
             let p = placed[e.from.0]?;
             preds.push((p.tile, p.time + dfg.nodes()[e.from.0].op.latency()));
         }
 
-        // Dynamic start for source nodes (φ, const, invariant loads): align
-        // with the actual times of their consumers' other inputs, so the φ of
-        // a reduction sits right where its update will fire, not at time 0.
-        let dynamic_floor = if preds.is_empty() {
-            let mut floor = levels[v];
-            for &c in &consumers_of[v] {
-                for e in &dfg.nodes()[c].inputs {
-                    if e.distance == 0 && e.from.0 != v {
-                        if let Some(p) = placed[e.from.0] {
-                            let rdy = p.time + dfg.nodes()[e.from.0].op.latency();
-                            floor = floor.max(rdy.saturating_sub(node.op.latency()));
-                        }
-                    }
-                }
-            }
-            floor
-        } else {
-            0
-        };
+        // dynamic start for source nodes (φ, const, invariant loads)
+        let dynamic_floor =
+            if preds.is_empty() { prep.dynamic_floor(dfg, v, &placed) } else { 0 };
 
-        let mut tiles: Vec<usize> = (0..spec.len())
-            .filter(|&t| mask.tile_alive(t) && spec.tile_supports(t, node.op))
-            .collect();
+        tiles.clear();
+        tiles.extend_from_slice(prep.capable(v));
         rng.shuffle(&mut tiles);
 
         let mut placed_here = false;
@@ -283,7 +339,7 @@ pub(crate) fn place_rest(
             // hop distance from every placed predecessor; a predecessor
             // disconnected from this tile on the alive fabric rules the
             // tile out entirely.
-            let mut pred_hops: Vec<u32> = Vec::with_capacity(preds.len());
+            pred_hops.clear();
             for &(pt, _) in &preds {
                 match mask.hops(spec, pt, tile) {
                     Some(h) => pred_hops.push(h),
@@ -385,7 +441,7 @@ pub(crate) fn place_rest(
             if std::env::var_os("PICACHU_MAP_DEBUG").is_some() {
                 eprintln!(
                     "  [map-debug] II={ii}: no slot for {} ({}), prio={}",
-                    node.id, node.op, levels[v]
+                    node.id, node.op, prep.levels[v]
                 );
             }
             return None;
@@ -435,12 +491,13 @@ pub(crate) fn try_place_pinned(
     dfg: &Dfg,
     spec: &CgraSpec,
     mask: &ResourceMask,
+    prep: &Prep,
     ii: u32,
     rng: &mut TestRng,
     pinned: &[Option<Placement>],
 ) -> Option<Vec<Placement>> {
     let st = pin_state(dfg, spec, mask, ii, pinned).ok()?;
-    place_rest(dfg, spec, mask, ii, rng, st, pinned.to_vec(), true)
+    place_rest(dfg, spec, mask, prep, ii, rng, st, pinned.to_vec(), true)
 }
 
 // ---------------------------------------------------------------------------
@@ -467,11 +524,12 @@ pub(crate) fn try_place_annealed(
     dfg: &Dfg,
     spec: &CgraSpec,
     mask: &ResourceMask,
+    prep: &Prep,
     ii: u32,
     rng: &mut TestRng,
 ) -> Option<Vec<Placement>> {
-    let tiles = anneal_tiles(dfg, spec, mask, ii, rng)?;
-    let placements = schedule_on_tiles(dfg, spec, mask, ii, rng, &tiles)?;
+    let tiles = anneal_tiles(dfg, spec, mask, prep, ii, rng)?;
+    let placements = schedule_on_tiles(dfg, spec, mask, prep, ii, rng, &tiles)?;
     let routes = super::route::route_mapping(dfg, spec, mask, ii, &placements)?;
     routes.congestion_free().then_some(placements)
 }
@@ -514,20 +572,12 @@ fn anneal_tiles(
     dfg: &Dfg,
     spec: &CgraSpec,
     mask: &ResourceMask,
+    prep: &Prep,
     ii: u32,
     rng: &mut TestRng,
 ) -> Option<Vec<usize>> {
     let n = dfg.len();
-    let capable: Vec<Vec<usize>> = dfg
-        .nodes()
-        .iter()
-        .map(|node| {
-            (0..spec.len())
-                .filter(|&t| mask.tile_alive(t) && spec.tile_supports(t, node.op))
-                .collect()
-        })
-        .collect();
-    if capable.iter().any(Vec::is_empty) {
+    if prep.tile_sets.iter().any(Vec::is_empty) {
         return None;
     }
     let cap_per_tile = ii as usize;
@@ -541,15 +591,12 @@ fn anneal_tiles(
     }
 
     // initial state: greedy wirelength in the historical priority order
-    let levels = priorities(dfg);
-    let mut order: Vec<usize> = (0..n).collect();
-    let jitter: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
-    order.sort_by_key(|&i| (levels[i], is_phi_class(dfg.nodes()[i].op), jitter[i]));
+    let order = prep.order(dfg, rng);
     let mut tiles: Vec<usize> = vec![usize::MAX; n];
     let mut count = vec![0usize; spec.len()];
     for &v in &order {
         let mut best: Option<(u64, usize)> = None;
-        for &t in &capable[v] {
+        for &t in prep.capable(v) {
             if count[t] >= cap_per_tile {
                 continue;
             }
@@ -574,20 +621,23 @@ fn anneal_tiles(
     // congestion estimate: pass-through pressure per tile from the canonical
     // path of every distance-0 edge, vs ROUTE_CAP routing slots per (tile,
     // slot) = ROUTE_CAP · II per tile
-    let tile_cap = u64::from(ROUTE_CAP) * u64::from(ii);
-    let mut occ = vec![0u64; spec.len()];
+    let mut cong = Congestion {
+        occ: vec![0u64; spec.len()],
+        tile_cap: u64::from(ROUTE_CAP) * u64::from(ii),
+        journal: Vec::new(),
+    };
     let mut wire = 0u64;
     for &(u, v, d0) in &edges {
         wire += hop_cost(mask.hops(spec, tiles[u], tiles[v]));
         if d0 {
             if let Some(path) = mask.path(spec, tiles[u], tiles[v]) {
                 for t in path {
-                    occ[t] += 1;
+                    cong.occ[t] += 1;
                 }
             }
         }
     }
-    let congestion: u64 = occ.iter().map(|&o| o.saturating_sub(tile_cap)).sum();
+    let congestion: u64 = cong.occ.iter().map(|&o| o.saturating_sub(cong.tile_cap)).sum();
 
     let mut temp = (wire + CONGESTION_WEIGHT * congestion) / 4;
     let moves_per_temp = (4 * n).max(32);
@@ -596,16 +646,19 @@ fn anneal_tiles(
         for _ in 0..moves_per_temp {
             moves += 1;
             let v = rng.gen_range(0..n as u64) as usize;
-            let cand = capable[v][rng.gen_range(0..capable[v].len() as u64) as usize];
+            let capable = prep.capable(v);
+            let cand = capable[rng.gen_range(0..capable.len() as u64) as usize];
             let old = tiles[v];
             if cand == old || count[cand] >= cap_per_tile {
                 continue;
             }
             // remove v's incident contributions, move, re-add; track Δ
+            cong.journal.clear();
             let mut delta: i64 = 0;
-            delta -= contribution(&edges, &incident[v], &tiles, spec, mask, &mut occ, tile_cap, v, false);
+            delta -= contribution(&edges, &incident[v], &tiles, spec, mask, &mut cong, false);
+            let removed = cong.journal.len();
             tiles[v] = cand;
-            delta += contribution(&edges, &incident[v], &tiles, spec, mask, &mut occ, tile_cap, v, true);
+            delta += contribution(&edges, &incident[v], &tiles, spec, mask, &mut cong, true);
             let accept = delta <= 0 || {
                 let d = delta as u64;
                 rng.gen_range(0..temp + d) < temp
@@ -614,10 +667,8 @@ fn anneal_tiles(
                 count[old] -= 1;
                 count[cand] += 1;
             } else {
-                // revert
-                contribution(&edges, &incident[v], &tiles, spec, mask, &mut occ, tile_cap, v, false);
+                cong.undo(removed);
                 tiles[v] = old;
-                contribution(&edges, &incident[v], &tiles, spec, mask, &mut occ, tile_cap, v, true);
             }
             if moves >= MOVE_CAP {
                 break;
@@ -628,20 +679,43 @@ fn anneal_tiles(
     Some(tiles)
 }
 
+/// The SA congestion estimate: per-tile pass-through occupancy of the
+/// canonical paths, plus a journal of the tiles the current move touched so
+/// a rejected move is undone without walking its paths again.
+struct Congestion {
+    occ: Vec<u64>,
+    /// `ROUTE_CAP · II` routing slots per tile.
+    tile_cap: u64,
+    /// Tiles whose occupancy the current move changed: first every
+    /// decrement of the removal pass, then every increment of the re-add.
+    journal: Vec<usize>,
+}
+
+impl Congestion {
+    /// Restores the occupancy from before the current move, whose removal
+    /// pass made the first `removed` journal entries.
+    fn undo(&mut self, removed: usize) {
+        let (dec, inc) = self.journal.split_at(removed);
+        for &t in dec {
+            self.occ[t] += 1;
+        }
+        for &t in inc {
+            self.occ[t] -= 1;
+        }
+    }
+}
+
 /// Adds (`add = true`) or removes the cost contribution of every edge
-/// incident to `v` under the current `tiles` assignment, updating the
-/// per-tile pass-through occupancy, and returns the signed cost
-/// (wirelength + weighted congestion) of those edges.
-#[allow(clippy::too_many_arguments)]
+/// incident to a node under the current `tiles` assignment, updating and
+/// journaling the per-tile pass-through occupancy, and returns the signed
+/// cost (wirelength + weighted congestion) of those edges.
 fn contribution(
     edges: &[(usize, usize, bool)],
     incident: &[usize],
     tiles: &[usize],
     spec: &CgraSpec,
     mask: &ResourceMask,
-    occ: &mut [u64],
-    tile_cap: u64,
-    _v: usize,
+    cong: &mut Congestion,
     add: bool,
 ) -> i64 {
     let mut cost = 0i64;
@@ -651,16 +725,17 @@ fn contribution(
         if d0 {
             if let Some(path) = mask.path(spec, tiles[u], tiles[w]) {
                 for t in path {
+                    cong.journal.push(t);
                     if add {
-                        occ[t] += 1;
-                        if occ[t] > tile_cap {
+                        cong.occ[t] += 1;
+                        if cong.occ[t] > cong.tile_cap {
                             cost += CONGESTION_WEIGHT as i64;
                         }
                     } else {
-                        if occ[t] > tile_cap {
+                        if cong.occ[t] > cong.tile_cap {
                             cost += CONGESTION_WEIGHT as i64;
                         }
-                        occ[t] -= 1;
+                        cong.occ[t] -= 1;
                     }
                 }
             }
@@ -687,66 +762,50 @@ fn schedule_on_tiles(
     dfg: &Dfg,
     spec: &CgraSpec,
     mask: &ResourceMask,
+    prep: &Prep,
     ii: u32,
     rng: &mut TestRng,
     tiles: &[usize],
 ) -> Option<Vec<Placement>> {
     let n = dfg.len();
-    let levels = priorities(dfg);
-    let mut order: Vec<usize> = (0..n).collect();
-    let jitter: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
-    order.sort_by_key(|&i| (levels[i], is_phi_class(dfg.nodes()[i].op), jitter[i]));
-
-    let mut consumers_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut carried_out: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-    for node in dfg.nodes() {
-        for e in &node.inputs {
-            if e.distance == 0 {
-                consumers_of[e.from.0].push(node.id.0);
-            } else {
-                carried_out[e.from.0].push((node.id.0, e.distance));
-            }
-        }
-    }
+    let order = prep.order(dfg, rng);
+    let carried_out = &prep.carried_out;
 
     let mut compute = vec![false; spec.len() * ii as usize];
     let slot_of = |tile: usize, t: u32| tile * ii as usize + (t % ii) as usize;
-    // canonical-path channel occupancy, keyed (from_tile, to_tile, slot)
-    let mut channels: std::collections::BTreeMap<(usize, usize, u32), u32> =
-        std::collections::BTreeMap::new();
+    // canonical-path channel occupancy, indexed `link_index · II + slot`;
+    // only ever compared with CHANNEL_CAP, so a saturating byte is exact
+    let mut channels = vec![0u8; spec.len() * 4 * ii as usize];
+    // per node: the canonical path of every d0 input as `links[start..end]`
+    // (the directed links it crosses, producer first) plus its hop count
+    let mut links: Vec<usize> = Vec::new();
+    let mut in_paths: Vec<(usize, usize, u32)> = Vec::new();
+    let mut preds_rdy: Vec<u32> = Vec::new();
     let mut placed: Vec<Option<Placement>> = vec![None; n];
     for &v in &order {
         let node = &dfg.nodes()[v];
         let tile = tiles[v];
-        let mut preds_rdy: Vec<u32> = Vec::new();
-        // (producer tile sequence incl. endpoints, hop count) per d0 input
-        let mut in_paths: Vec<(Vec<usize>, u32)> = Vec::new();
+        preds_rdy.clear();
+        links.clear();
+        in_paths.clear();
         for e in node.inputs.iter().filter(|e| e.distance == 0) {
             let p = placed[e.from.0]?;
             let h = mask.hops(spec, p.tile, tile)?;
             preds_rdy.push(p.time + dfg.nodes()[e.from.0].op.latency() + h);
             if h > 0 {
-                let mut seq = vec![p.tile];
-                seq.extend(mask.path(spec, p.tile, tile)?);
-                seq.push(tile);
-                in_paths.push((seq, h));
+                let start = links.len();
+                let mut prev = p.tile;
+                for t in mask.path(spec, p.tile, tile)?.chain([tile]) {
+                    links.push(link_index(spec, prev, t));
+                    prev = t;
+                }
+                in_paths.push((start, links.len(), h));
             }
         }
         let earliest = if preds_rdy.is_empty() {
             // source nodes align with their consumers' other inputs, as in
-            // the greedy placer's dynamic floor
-            let mut floor = levels[v];
-            for &c in &consumers_of[v] {
-                for e in &dfg.nodes()[c].inputs {
-                    if e.distance == 0 && e.from.0 != v {
-                        if let Some(p) = placed[e.from.0] {
-                            let rdy = p.time + dfg.nodes()[e.from.0].op.latency();
-                            floor = floor.max(rdy.saturating_sub(node.op.latency()));
-                        }
-                    }
-                }
-            }
-            floor
+            // the greedy placer
+            prep.dynamic_floor(dfg, v, &placed)
         } else {
             preds_rdy.iter().copied().max().unwrap_or(0)
         };
@@ -770,20 +829,24 @@ fn schedule_on_tiles(
             // t, so hop j of an h-hop path occupies its link at slot
             // (t − h + j) mod ii — full if the router could not legally
             // absorb another operand there
-            let channels_ok = in_paths.iter().all(|(seq, h)| {
-                seq.windows(2).enumerate().all(|(j, w)| {
-                    let slot = (t - h + j as u32) % ii;
-                    channels.get(&(w[0], w[1], slot)).copied().unwrap_or(0)
-                        < super::route::CHANNEL_CAP
-                })
+            let channel = |link: usize, h: u32, j: usize| {
+                link * ii as usize + ((t - h + j as u32) % ii) as usize
+            };
+            let channels_ok = in_paths.iter().all(|&(start, end, h)| {
+                links[start..end]
+                    .iter()
+                    .enumerate()
+                    .all(|(j, &link)| {
+                        u32::from(channels[channel(link, h, j)]) < super::route::CHANNEL_CAP
+                    })
             });
             if !channels_ok {
                 continue;
             }
-            for (seq, h) in &in_paths {
-                for (j, w) in seq.windows(2).enumerate() {
-                    let slot = (t - h + j as u32) % ii;
-                    *channels.entry((w[0], w[1], slot)).or_insert(0) += 1;
+            for &(start, end, h) in &in_paths {
+                for (j, &link) in links[start..end].iter().enumerate() {
+                    let c = &mut channels[channel(link, h, j)];
+                    *c = c.saturating_add(1);
                 }
             }
             compute[slot_of(tile, t)] = true;

@@ -22,7 +22,8 @@
 //! Determinism: requests are routed in node-id/input order, the search
 //! iterates tiles in index order and neighbours in [`CgraSpec::neighbors`]
 //! order with strict-improvement relaxation, and all bookkeeping lives in
-//! `BTreeMap`s — the result is a pure function of
+//! flat per-(directed link, slot) arrays ([`link_index`]) whose sums and
+//! updates do not depend on visit order — the result is a pure function of
 //! `(dfg, spec, mask, ii, placements)`.
 //!
 //! The router never invents illegality: for any mapping that is legal under
@@ -36,7 +37,6 @@ use super::fold::Folder;
 use super::{Placement, ResourceMask};
 use crate::arch::CgraSpec;
 use picachu_ir::dfg::{Dfg, NodeId};
-use std::collections::BTreeMap;
 
 /// Channels per directed mesh link per II slot: how many distinct operands
 /// one link can carry in the same `time mod II` cycle.
@@ -162,23 +162,39 @@ pub fn route_mapping(
     }
 
     let mut folder = Folder::new(spec, ii, placements);
-    // accumulated (link, slot) history penalties across rounds
-    let mut history: BTreeMap<(usize, usize, u32), u64> = BTreeMap::new();
+    // per-(directed link, slot) occupancy of this round, indexed
+    // `link_index · II + slot`; the channels it pushed past CHANNEL_CAP;
+    // history penalties across rounds, allocated by the first congested one
+    let channels = spec.len() * 4 * ii as usize;
+    let mut occ = vec![0u32; channels];
+    let mut overfull: Vec<usize> = Vec::new();
+    let mut history: Vec<u64> = Vec::new();
+    let longest = reqs.iter().filter(|r| r.src != r.dst).map(Request::max_len).max();
+    let mut dp = PathDp::new(spec.len(), longest.unwrap_or(0));
     for round in 0..RIPUP_ROUNDS {
         folder.reset_ports();
-        let mut occ: BTreeMap<(usize, usize, u32), u32> = BTreeMap::new();
+        // Σ over channels of occupancy beyond CHANNEL_CAP
+        let mut overused = 0u64;
         let mut edges: Vec<RoutedEdge> = Vec::with_capacity(reqs.len());
         for r in &reqs {
             let tiles = if r.src == r.dst {
                 vec![r.src]
             } else {
-                best_path(spec, mask, ii, r, &occ, &history)?
+                dp.best_path(spec, mask, ii, r, &occ, &history)?
             };
             let depart = r.arrive - (tiles.len() as u32 - 1);
             let folded = folder.fold_path(fanout[r.producer], depart, &tiles);
             for (j, w) in tiles.windows(2).enumerate() {
                 if !folded[j] {
-                    *occ.entry((w[0], w[1], (depart + j as u32) % ii)).or_insert(0) += 1;
+                    let slot = ((depart + j as u32) % ii) as usize;
+                    let ch = link_index(spec, w[0], w[1]) * ii as usize + slot;
+                    occ[ch] += 1;
+                    if occ[ch] > CHANNEL_CAP {
+                        overused += 1;
+                        if occ[ch] == CHANNEL_CAP + 1 {
+                            overfull.push(ch);
+                        }
+                    }
                 }
             }
             edges.push(RoutedEdge {
@@ -189,8 +205,6 @@ pub fn route_mapping(
                 folded,
             });
         }
-        let overused: u64 =
-            occ.values().map(|&c| u64::from(c.saturating_sub(CHANNEL_CAP))).sum();
         if overused == 0 || round == RIPUP_ROUNDS - 1 {
             let total_hops: u64 = edges.iter().map(|e| u64::from(e.hops())).sum();
             let folded_hops: u64 = edges
@@ -208,83 +222,134 @@ pub fn route_mapping(
         }
         // negotiate: overused channels get permanently more expensive, then
         // everything rips up and re-routes
-        for (&k, &c) in &occ {
-            if c > CHANNEL_CAP {
-                *history.entry(k).or_insert(0) += HISTORY_STEP * u64::from(c - CHANNEL_CAP);
-            }
+        history.resize(channels, 0);
+        for &ch in &overfull {
+            history[ch] += HISTORY_STEP * u64::from(occ[ch] - CHANNEL_CAP);
         }
+        overfull.clear();
+        occ.fill(0);
     }
     None // unreachable: the last round always returns
 }
 
-/// Deterministic min-cost path for one edge over the time-expanded alive
-/// mesh. DP over backward steps from the consumer: `dp[k][tile]` is the
-/// cheapest way to be at `tile`, `k` hops before arrival (i.e. at time
-/// `arrive − k`). Costs are `1 + present-overuse penalty + history` per
-/// link-slot. Returns the full tile sequence producer→consumer, preferring
-/// lower cost, then fewer hops (a shorter path departs later, keeping slack
-/// at the producer's register).
-fn best_path(
-    spec: &CgraSpec,
-    mask: &ResourceMask,
-    ii: u32,
-    r: &Request,
-    occ: &BTreeMap<(usize, usize, u32), u32>,
-    history: &BTreeMap<(usize, usize, u32), u64>,
-) -> Option<Vec<usize>> {
-    const INF: u64 = u64::MAX;
-    let budget = r.arrive - r.rdy; // ≥ r.hops, checked by the caller
-    let max_len = budget.min(r.hops + DETOUR_SLACK) as usize;
-    let n = spec.len();
-    let mut dp = vec![vec![INF; n]; max_len + 1];
-    let mut par = vec![vec![usize::MAX; n]; max_len + 1];
-    dp[0][r.dst] = 0;
-    let mut best: Option<(u64, usize)> = None;
-    for k in 0..=max_len {
-        if dp[k][r.src] != INF && best.is_none_or(|(bc, _)| dp[k][r.src] < bc) {
-            best = Some((dp[k][r.src], k));
-        }
-        if k == max_len {
-            break;
-        }
-        // time at the predecessor tile: the hop a→b lands at arrive − k, so
-        // the value sits at `a` at arrive − k − 1, which must be ≥ rdy
-        let Some(t_a) = r.arrive.checked_sub(k as u32 + 1) else { break };
-        if t_a < r.rdy {
-            break;
-        }
-        let slot = t_a % ii;
-        for b in 0..n {
-            let c = dp[k][b];
-            if c == INF {
-                continue;
+/// Index of the directed mesh link `a → b` between adjacent tiles, in
+/// `0..tiles × 4`: each tile owns its four outgoing directions (up, down,
+/// left, right). Per-(link, slot) tables are flat arrays indexed
+/// `link · II + slot`.
+pub(super) fn link_index(spec: &CgraSpec, a: usize, b: usize) -> usize {
+    let dir = if b + spec.cols == a {
+        0
+    } else if b == a + spec.cols {
+        1
+    } else if b + 1 == a {
+        2
+    } else {
+        3
+    };
+    a * 4 + dir
+}
+
+impl Request {
+    /// Longest path the search considers: the timing slack, capped at
+    /// [`DETOUR_SLACK`] hops beyond the masked shortest path.
+    fn max_len(&self) -> usize {
+        let budget = self.arrive - self.rdy; // ≥ hops, checked on construction
+        budget.min(self.hops + DETOUR_SLACK) as usize
+    }
+}
+
+/// The min-cost path search's DP tables, reused across the requests of one
+/// [`route_mapping`] call: `dp[k·n + tile]` and `par[k·n + tile]` for `k`
+/// backward steps, sized once for the longest request.
+struct PathDp {
+    dp: Vec<u64>,
+    par: Vec<usize>,
+}
+
+impl PathDp {
+    fn new(n: usize, max_len: usize) -> PathDp {
+        let states = (max_len + 1) * n;
+        PathDp { dp: vec![u64::MAX; states], par: vec![usize::MAX; states] }
+    }
+
+    /// Deterministic min-cost path for one edge over the time-expanded alive
+    /// mesh. DP over backward steps from the consumer: `dp[k][tile]` is the
+    /// cheapest way to be at `tile`, `k` hops before arrival (i.e. at time
+    /// `arrive − k`). Costs are `1 + present-overuse penalty + history` per
+    /// link-slot. Returns the full tile sequence producer→consumer,
+    /// preferring lower cost, then fewer hops (a shorter path departs later,
+    /// keeping slack at the producer's register).
+    fn best_path(
+        &mut self,
+        spec: &CgraSpec,
+        mask: &ResourceMask,
+        ii: u32,
+        r: &Request,
+        occ: &[u32],
+        history: &[u64],
+    ) -> Option<Vec<usize>> {
+        const INF: u64 = u64::MAX;
+        let max_len = r.max_len();
+        let n = spec.len();
+        let states = (max_len + 1) * n;
+        // every parent read below was written in this search, so only the
+        // costs need a reset
+        let (dp, par) = (&mut self.dp[..states], &mut self.par[..states]);
+        dp.fill(INF);
+        dp[r.dst] = 0;
+        let mut best: Option<(u64, usize)> = None;
+        for k in 0..=max_len {
+            let here = dp[k * n + r.src];
+            if here != INF && best.is_none_or(|(bc, _)| here < bc) {
+                best = Some((here, k));
             }
-            for a in spec.neighbors(b) {
-                if !mask.link_alive(a, b) {
+            if k == max_len {
+                break;
+            }
+            // time at the predecessor tile: the hop a→b lands at arrive − k,
+            // so the value sits at `a` at arrive − k − 1, which must be ≥ rdy
+            let Some(t_a) = r.arrive.checked_sub(k as u32 + 1) else { break };
+            if t_a < r.rdy {
+                break;
+            }
+            let slot = (t_a % ii) as usize;
+            let (cur, next) = dp[k * n..(k + 2) * n].split_at_mut(n);
+            let par_next = &mut par[(k + 1) * n..(k + 2) * n];
+            // tiles in index order (b = 0..n), neighbours in fixed order
+            for (b, &c) in cur.iter().enumerate() {
+                if c == INF {
                     continue;
                 }
-                let o = occ.get(&(a, b, slot)).copied().unwrap_or(0);
-                let present = if o >= CHANNEL_CAP {
-                    PRESENT_PENALTY * u64::from(o - CHANNEL_CAP + 1)
-                } else {
-                    0
-                };
-                let hist = history.get(&(a, b, slot)).copied().unwrap_or(0);
-                let nc = c + 1 + present + hist;
-                if nc < dp[k + 1][a] {
-                    dp[k + 1][a] = nc;
-                    par[k + 1][a] = b;
+                for a in spec.neighbors(b) {
+                    if !mask.link_alive(a, b) {
+                        continue;
+                    }
+                    let link = link_index(spec, a, b) * ii as usize + slot;
+                    let o = occ[link];
+                    let present = if o >= CHANNEL_CAP {
+                        PRESENT_PENALTY * u64::from(o - CHANNEL_CAP + 1)
+                    } else {
+                        0
+                    };
+                    // `history` stays empty until a round congests
+                    let hist = history.get(link).copied().unwrap_or(0);
+                    let nc = c + 1 + present + hist;
+                    if nc < next[a] {
+                        next[a] = nc;
+                        par_next[a] = b;
+                    }
                 }
             }
         }
+        let (_, k) = best?;
+        let mut tiles = Vec::with_capacity(k + 1);
+        tiles.push(r.src);
+        let (mut cur, mut step) = (r.src, k);
+        while step > 0 {
+            cur = par[step * n + cur];
+            step -= 1;
+            tiles.push(cur);
+        }
+        Some(tiles)
     }
-    let (_, k) = best?;
-    let mut tiles = vec![r.src];
-    let (mut cur, mut step) = (r.src, k);
-    while step > 0 {
-        cur = par[step][cur];
-        step -= 1;
-        tiles.push(cur);
-    }
-    Some(tiles)
 }

@@ -165,6 +165,19 @@ impl CompileService {
         config: &EngineConfig,
         op: NonlinearOp,
     ) -> Result<Arc<Vec<CompiledLoop>>, PicachuError> {
+        self.compile_healthy(config, op, None)
+    }
+
+    /// The healthy compile of `op` on the engine's own intact fabric:
+    /// engine-local view, then the process cache, else mapped now under
+    /// `deadline` and published to both. A success is a function of
+    /// `(config, op)` alone, whichever of the three supplied it.
+    fn compile_healthy(
+        &mut self,
+        config: &EngineConfig,
+        op: NonlinearOp,
+        deadline: Option<Duration>,
+    ) -> Result<Arc<Vec<CompiledLoop>>, PicachuError> {
         if let Some(hit) = self.cache.get(&op) {
             return Ok(hit.clone());
         }
@@ -173,7 +186,7 @@ impl CompileService {
             Some(hit) => hit,
             None => {
                 let full = ResourceMask::full(&self.spec);
-                let loops = self.compile_one(config, op, &self.spec, &full, None)?;
+                let loops = self.compile_one(config, op, &self.spec, &full, deadline)?;
                 compile_cache::publish(key, loops)
             }
         };
@@ -224,10 +237,12 @@ impl CompileService {
     }
 
     /// Compiles `op` for a faulted fabric, walking the degradation ladder
-    /// (DESIGN §7): **incremental repair** of the cached healthy mapping
-    /// (retained II, only the disturbed sub-DFG re-placed — skipped when no
-    /// healthy mapping is on hand) → **re-map** around the dead resources on
-    /// the engine's own fabric → **cached** healthy mapping (only when the
+    /// (DESIGN §7): **incremental repair** of the healthy mapping (retained
+    /// II, only the disturbed sub-DFG re-placed; the healthy compile comes
+    /// from the engine-local view or the process cache, else is mapped
+    /// first, so the ladder never depends on what the process cached
+    /// before) → **re-map** around the dead resources on the engine's own
+    /// fabric → **cached** healthy mapping (only when the
     /// fabric is intact and the failure was a deadline, never on real
     /// topology faults) → **universal-fabric** re-map (every PE supports
     /// every opcode) → **reject** with the primary error. Each rung is
@@ -264,21 +279,20 @@ impl CompileService {
                 alive_tiles: alive,
             });
         }
-        // healthy baseline for II-inflation reporting — cache-only, so the
-        // deadline-bounded degraded path never grows an unbounded healthy
-        // compile (inflation reads 1.0 until something compiled healthy)
-        let healthy_ii: Option<u64> = self
-            .cache
-            .get(&op)
-            .cloned()
-            .or_else(|| compile_cache::lookup(&self.compile_key(config, op)))
+        // healthy baseline for II-inflation reporting and for rung 1 to
+        // repair: compiled (deadline-bounded) when neither cache holds it, so
+        // the ladder's answer never depends on what else ran in, or cleared,
+        // the process. Only a healthy compile that misses the deadline or
+        // fails to map leaves it absent (inflation then reads 1.0).
+        let healthy = self.compile_healthy(config, op, deadline).ok();
+        let healthy_ii: Option<u64> = healthy
+            .as_ref()
             .map(|loops| loops.iter().map(|l| l.mapping.ii as u64).sum());
         // rung 1: incremental repair — retain the healthy II and every
         // placement the faults did not disturb, re-placing only the affected
-        // sub-DFG. Needs a healthy mapping on hand (engine-local or process
-        // cache; this rung never *computes* one), a genuinely degraded
-        // fabric (on an intact fabric the healthy mapping needs no repair),
-        // and the config's repair eligibility (`incremental_repair: false`
+        // sub-DFG. Needs the healthy mapping, a genuinely degraded fabric (on
+        // an intact fabric the healthy mapping needs no repair), and the
+        // config's repair eligibility (`incremental_repair: false`
         // deployments keep no mapping resident, so every fault is a full
         // re-map — a DSE compiler-strategy knob).
         if config.incremental_repair && !plan.fabric_intact() {
@@ -286,12 +300,9 @@ impl CompileService {
                 CompileKey { incremental: true, ..self.degraded_key(config, op, plan, false) };
             let repaired = match compile_cache::lookup(&ikey) {
                 Some(hit) => Some(hit),
-                None => self
-                    .cache
-                    .get(&op)
-                    .cloned()
-                    .or_else(|| compile_cache::lookup(&self.compile_key(config, op)))
-                    .and_then(|healthy| self.try_repair_loops(config, op, &mask, &healthy))
+                None => healthy
+                    .as_ref()
+                    .and_then(|healthy| self.try_repair_loops(config, op, &mask, healthy))
                     .map(|loops| compile_cache::publish(ikey, loops)),
             };
             if let Some(loops) = repaired {
@@ -329,12 +340,7 @@ impl CompileService {
         // local view survives process-cache clears, so a deadline miss on
         // re-validation still serves.
         if plan.fabric_intact() {
-            if let Some(hit) = self
-                .cache
-                .get(&op)
-                .cloned()
-                .or_else(|| compile_cache::lookup(&self.compile_key(config, op)))
-            {
+            if let Some(hit) = healthy {
                 return Ok(DegradedCompile {
                     loops: hit,
                     fallback: FallbackLevel::Cached,

@@ -160,6 +160,22 @@ print(f"pnr smoke: OK ({len(cases)} cases, identity at paper scale, "
 EOF
 rm -rf "$PNR_SCRATCH"
 
+echo "== artifact freshness (mapper-fed artifacts regenerate byte-identically) =="
+# BENCH_pnr.json (full run), fig7a.json and fig7b.json record mappings of
+# both placement engines at every fabric size, so any change that moves a
+# mapping moves one of them. Regenerate all three in a scratch directory and
+# compare each with the committed copy.
+FRESH_SCRATCH=$(mktemp -d)
+for bin in pnr_scaling fig7a_kernel_speedup fig7b_scalability; do
+  (cd "$FRESH_SCRATCH" && "$REPO_ROOT/target/release/$bin" > /dev/null)
+done
+for artifact in BENCH_pnr fig7a fig7b; do
+  cmp "$FRESH_SCRATCH/results/$artifact.json" "results/$artifact.json" \
+    || { echo "freshness: FAILED (results/$artifact.json differs from a fresh run)"; exit 1; }
+done
+rm -rf "$FRESH_SCRATCH"
+echo "freshness: OK (BENCH_pnr.json, fig7a.json, fig7b.json byte-identical)"
+
 echo "== dse smoke (seeded mini-search: artifact schema + thread-count invariance) =="
 # The co-design search must emit a non-empty, schema-valid results/pareto.json
 # and the artifact must be bit-identical at 1 and 4 worker threads (the search

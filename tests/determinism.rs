@@ -28,7 +28,7 @@ use picachu_nonlinear::NonlinearOp;
 use picachu_num::DataFormat;
 use picachu_serve::{
     chaos_schedule, run, ArrivalPattern, ChaosConfig, FaultEvent, RetryPolicy, ServeConfig,
-    ServeReport, ShardSpec, Tenant,
+    ServeReport, Shard, ShardSpec, Tenant,
 };
 
 struct Snapshot {
@@ -217,4 +217,43 @@ fn chaos_serving_run_is_thread_count_invariant() {
         "per-request records diverged between 1 and 8 threads under chaos"
     );
     assert_eq!(serial, parallel, "full chaos serving report diverged");
+}
+
+/// The degradation ladder behind a chaos `Degrade` is a function of
+/// `(spec, tenants, plan)` alone. A fresh shard's fault path finds its
+/// healthy baseline in the process compile cache only when nothing cleared
+/// the cache since the shard was prewarmed; clearing it in between must not
+/// change the capacity factor the serving schedule is priced with.
+#[test]
+fn degraded_capacity_ignores_process_cache_history() {
+    let tenants = vec![Tenant {
+        name: "t",
+        model: ModelConfig {
+            name: "tiny-degrade-history",
+            layers: 1,
+            d_model: 64,
+            n_heads: 4,
+            d_ff: 128,
+            ..ModelConfig::gpt2()
+        },
+        weight: 1,
+        prompt: 24,
+        decode: (2, 4),
+        slo_ns: u64::MAX,
+        priority: 0,
+    }];
+    // a dead tile 5 costs this tenant's kernels real II (the ladder reports
+    // inflation well above 1), so a lost baseline would read as healthy
+    let plan = FaultPlan::dead_tile(5);
+    let mut warm = Shard::new(0, ShardSpec::picachu(), &tenants, 4);
+    warm.apply_fault(&plan, &tenants);
+    let mut cleared = Shard::new(0, ShardSpec::picachu(), &tenants, 4);
+    compile_cache::clear();
+    cleared.apply_fault(&plan, &tenants);
+    assert!(warm.capacity_factor > 1.0, "dead tile 5 must degrade the shard");
+    assert_eq!(
+        warm.capacity_factor.to_bits(),
+        cleared.capacity_factor.to_bits(),
+        "clearing the compile cache after prewarm changed the degraded capacity"
+    );
 }

@@ -16,27 +16,39 @@ use picachu_runtime::{try_parallel_find_first, try_parallel_map};
 #[test]
 fn every_paper_kernel_survives_a_dead_pe_and_a_dead_link() {
     // One central dead PE and one central dead link, every paper kernel:
-    // the degradation ladder must re-map (never reject) and the faulted
-    // trace must execute with finite, positive-where-expected costs.
-    for plan in [FaultPlan::dead_tile(5), FaultPlan::dead_link(5, 6)] {
-        let mut e = PicachuEngine::new(EngineConfig::default());
-        for op in NonlinearOp::ALL {
-            let d = e
-                .compile_op_degraded(op, &plan)
-                .unwrap_or_else(|err| panic!("{op:?} under {plan}: {err}"));
-            assert!(
-                matches!(d.fallback, FallbackLevel::Remapped),
-                "{op:?} under {plan}: a single fault must re-map, got {}",
-                d.fallback
-            );
-            assert!(d.ii_inflation >= 1.0 || d.ii_inflation > 0.0);
-            let b = e
-                .try_execute_trace_faulted(
-                    &[TraceOp::Nonlinear { op, rows: 32, channel: 64 }],
-                    &plan,
-                )
-                .unwrap_or_else(|err| panic!("{op:?} trace under {plan}: {err}"));
-            assert!(b.nonlinear.is_finite() && b.nonlinear > 0.0, "{op:?}");
+    // the degradation ladder must stay on the engine's own fabric (never
+    // reject) and the faulted trace must execute with finite,
+    // positive-where-expected costs. With repair enabled the ladder first
+    // repairs the healthy mapping at its own II; with it disabled every
+    // single fault must re-map.
+    for incremental_repair in [true, false] {
+        for plan in [FaultPlan::dead_tile(5), FaultPlan::dead_link(5, 6)] {
+            let mut e =
+                PicachuEngine::new(EngineConfig { incremental_repair, ..EngineConfig::default() });
+            for op in NonlinearOp::ALL {
+                let d = e
+                    .compile_op_degraded(op, &plan)
+                    .unwrap_or_else(|err| panic!("{op:?} under {plan}: {err}"));
+                match d.fallback {
+                    FallbackLevel::Incremental if incremental_repair => assert_eq!(
+                        d.ii_inflation, 1.0,
+                        "{op:?} under {plan}: a repair keeps the healthy II"
+                    ),
+                    FallbackLevel::Remapped => {}
+                    other => panic!(
+                        "{op:?} under {plan} (repair {incremental_repair}): a single fault \
+                         must repair or re-map, got {other}"
+                    ),
+                }
+                assert!(d.ii_inflation >= 1.0 || d.ii_inflation > 0.0);
+                let b = e
+                    .try_execute_trace_faulted(
+                        &[TraceOp::Nonlinear { op, rows: 32, channel: 64 }],
+                        &plan,
+                    )
+                    .unwrap_or_else(|err| panic!("{op:?} trace under {plan}: {err}"));
+                assert!(b.nonlinear.is_finite() && b.nonlinear > 0.0, "{op:?}");
+            }
         }
     }
 }
