@@ -214,20 +214,29 @@ mod tests {
         }
     }
 
+    /// The scheduler merges the trace into its event order with a cursor,
+    /// so every pattern must return requests in `(arrival_ns, id)` order
+    /// with ids `0..n`.
     #[test]
     fn arrivals_sorted_and_well_formed() {
         let ts = tenants();
-        let reqs =
-            arrival_trace(ArrivalPattern::Bursty { mean_gap_ns: 1e6, mean_burst: 4 }, &ts, 300, 7);
-        assert_eq!(reqs.len(), 300);
-        for w in reqs.windows(2) {
-            assert!(w[0].arrival_ns <= w[1].arrival_ns);
-            assert_eq!(w[1].id, w[0].id + 1);
-        }
-        for r in &reqs {
-            let t = &ts[r.tenant];
-            assert!(r.decode >= t.decode.0 && r.decode <= t.decode.1);
-            assert_eq!(r.prompt, t.prompt);
+        for pattern in [
+            ArrivalPattern::Poisson { mean_gap_ns: 1e6 },
+            ArrivalPattern::Bursty { mean_gap_ns: 1e6, mean_burst: 4 },
+            ArrivalPattern::Diurnal { mean_gap_ns: 1e6, period_ns: 5e7 },
+        ] {
+            let reqs = arrival_trace(pattern, &ts, 300, 7);
+            assert_eq!(reqs.len(), 300);
+            assert_eq!(reqs[0].id, 0, "{}", pattern.label());
+            for w in reqs.windows(2) {
+                assert!(w[0].arrival_ns <= w[1].arrival_ns, "{}", pattern.label());
+                assert_eq!(w[1].id, w[0].id + 1, "{}", pattern.label());
+            }
+            for r in &reqs {
+                let t = &ts[r.tenant];
+                assert!(r.decode >= t.decode.0 && r.decode <= t.decode.1);
+                assert_eq!(r.prompt, t.prompt);
+            }
         }
     }
 

@@ -26,7 +26,7 @@ use picachu_baselines::{CpuModel, GemminiModel, GpuModel, HomogeneousCgraModel, 
 use picachu_faults::FaultPlan;
 use picachu_llm::trace::{batched_decode_trace, model_trace};
 use picachu_nonlinear::NonlinearOp;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// What device a shard is.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,6 +120,77 @@ pub struct CostKey {
     pub batch: u32,
 }
 
+/// A shard's measured healthy costs as a dense table: one slot per
+/// `(tenant, phase, bucket, log2 batch)`, decode before prefill, so slot
+/// order is [`CostKey`] order. Every probed cost is at least 1, which
+/// frees 0 to mean "not probed".
+struct CostTable {
+    tenants: usize,
+    buckets: usize,
+    batches: usize,
+    costs: Vec<u64>,
+}
+
+impl CostTable {
+    /// An empty table for `tenants` with buckets below `buckets` and batch
+    /// sizes up to `max_batch_pow2`.
+    fn new(tenants: usize, buckets: usize, max_batch_pow2: u32) -> CostTable {
+        let batches = max_batch_pow2.trailing_zeros() as usize + 1;
+        CostTable {
+            tenants,
+            buckets,
+            batches,
+            costs: vec![0; tenants * 2 * buckets * batches],
+        }
+    }
+
+    fn slot(&self, key: &CostKey) -> Option<usize> {
+        let (bucket, lb) = (key.bucket as usize, key.batch.trailing_zeros() as usize);
+        if key.tenant >= self.tenants || bucket >= self.buckets || lb >= self.batches {
+            return None;
+        }
+        let row = key.tenant * 2 + usize::from(key.prefill);
+        Some((row * self.buckets + bucket) * self.batches + lb)
+    }
+
+    fn insert(&mut self, key: CostKey, cost: u64) {
+        if let Some(i) = self.slot(&key) {
+            self.costs[i] = cost;
+        }
+    }
+
+    fn get(&self, key: &CostKey) -> Option<u64> {
+        self.slot(key).map(|i| self.costs[i]).filter(|&c| c != 0)
+    }
+
+    /// The widest probed decode bucket of `(tenant, batch)` and its cost.
+    fn widest_decode(&self, tenant: usize, batch: u32) -> Option<(u32, u64)> {
+        (0..self.buckets as u32).rev().find_map(|bucket| {
+            self.get(&CostKey { tenant, prefill: false, bucket, batch }).map(|c| (bucket, c))
+        })
+    }
+
+    /// The probed entries in key order.
+    fn entries(&self) -> Vec<(CostKey, u64)> {
+        let per_row = self.buckets * self.batches;
+        self.costs
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c != 0)
+            .map(|(i, &c)| {
+                let row = i / per_row;
+                let key = CostKey {
+                    tenant: row / 2,
+                    prefill: row % 2 == 1,
+                    bucket: ((i % per_row) / self.batches) as u32,
+                    batch: 1 << (i % self.batches),
+                };
+                (key, c)
+            })
+            .collect()
+    }
+}
+
 /// Per-shard outcome of a serving run — the report the degraded-capacity
 /// tests compare across runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,7 +232,7 @@ pub struct Shard {
     pub fault: FaultPlan,
     /// Step-cost multiplier: 1.0 healthy, >1 degraded, ∞ out of service.
     pub capacity_factor: f64,
-    costs: HashMap<CostKey, u64>,
+    costs: CostTable,
     max_batch_pow2: u32,
 }
 
@@ -173,7 +244,12 @@ impl Shard {
     pub fn new(id: usize, spec: ShardSpec, tenants: &[Tenant], max_batch: usize) -> Shard {
         let mut backend = spec.build_warmed(tenants);
         let max_batch_pow2 = max_batch.max(1).next_power_of_two() as u32;
-        let mut costs = HashMap::new();
+        let buckets = tenants
+            .iter()
+            .map(|t| bucket_log2(t.prompt + t.decode.1) as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut costs = CostTable::new(tenants.len(), buckets, max_batch_pow2);
         for (ti, t) in tenants.iter().enumerate() {
             // one real execution per tenant model warms kernel caches, so
             // every estimate below is exact by the parity contract
@@ -233,17 +309,12 @@ impl Shard {
             bucket: bucket_log2(context),
             batch: (batch.max(1).next_power_of_two() as u32).min(self.max_batch_pow2),
         };
-        self.costs.get(&key).copied().unwrap_or_else(|| {
+        self.costs.get(&key).unwrap_or_else(|| {
             // context outgrew the probed range (decode beyond the declared
             // max): charge the largest probed bucket of this tenant,
             // scaled by the bucket ratio — still deterministic
-            let widest = self
-                .costs
-                .iter()
-                .filter(|(k, _)| k.tenant == tenant && !k.prefill && k.batch == key.batch)
-                .max_by_key(|(k, _)| k.bucket);
-            match widest {
-                Some((k, &c)) => c.saturating_mul(1 << (key.bucket.saturating_sub(k.bucket))),
+            match self.costs.widest_decode(tenant, key.batch) {
+                Some((b, c)) => c.saturating_mul(1 << (key.bucket.saturating_sub(b))),
                 None => 1,
             }
         })
@@ -253,7 +324,7 @@ impl Shard {
     pub fn healthy_prefill_cost(&self, tenant: usize, prompt: usize) -> u64 {
         let key =
             CostKey { tenant, prefill: true, bucket: bucket_log2(prompt), batch: 1 };
-        self.costs.get(&key).copied().unwrap_or(1)
+        self.costs.get(&key).unwrap_or(1)
     }
 
     /// Effective (fault-scaled) step cost in ns.
@@ -315,9 +386,7 @@ impl Shard {
 
     /// Snapshot of the measured healthy cost table, sorted by key.
     pub fn cost_table(&self) -> Vec<(CostKey, u64)> {
-        let mut v: Vec<(CostKey, u64)> = self.costs.iter().map(|(k, &c)| (*k, c)).collect();
-        v.sort_unstable();
-        v
+        self.costs.entries()
     }
 }
 
@@ -415,6 +484,43 @@ mod tests {
         }
         s.apply_fault(&plan, &ts);
         assert!(!s.in_service());
+    }
+
+    /// The dense table must answer every lookup exactly as a sorted map of
+    /// its own entries would, including the widest-bucket fallback past the
+    /// probed contexts and unknown tenants.
+    #[test]
+    fn dense_table_agrees_with_a_map_of_its_entries() {
+        let mut other = tiny_tenant();
+        other.prompt = 7;
+        other.decode = (1, 40);
+        let ts = vec![tiny_tenant(), other];
+        let s = Shard::new(0, ShardSpec::Gemmini, &ts, 6);
+        let table = s.cost_table();
+        assert!(table.windows(2).all(|w| w[0].0 < w[1].0), "entries sorted and unique");
+        let map: std::collections::BTreeMap<CostKey, u64> = table.iter().copied().collect();
+        for tenant in 0..3 {
+            for context in (0..16).map(|b| 1usize << b).chain([3, 33, 47, 100]) {
+                for batch in 0..10usize {
+                    let key = CostKey {
+                        tenant,
+                        prefill: false,
+                        bucket: bucket_log2(context),
+                        batch: (batch.max(1).next_power_of_two() as u32).min(s.max_batch_pow2),
+                    };
+                    let want = map.get(&key).copied().unwrap_or_else(|| {
+                        map.iter()
+                            .filter(|(k, _)| k.tenant == tenant && !k.prefill && k.batch == key.batch)
+                            .max_by_key(|(k, _)| k.bucket)
+                            .map_or(1, |(k, &c)| c.saturating_mul(1 << key.bucket.saturating_sub(k.bucket)))
+                    });
+                    assert_eq!(s.healthy_decode_cost(tenant, context, batch), want);
+                }
+                let key = CostKey { tenant, prefill: true, bucket: bucket_log2(context), batch: 1 };
+                let want = map.get(&key).copied().unwrap_or(1);
+                assert_eq!(s.healthy_prefill_cost(tenant, context), want);
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,14 @@
 //! post-condition (no startable shard idle while any compatible work waits
 //! anywhere) is audited on every event, not assumed.
 //!
+//! Arrivals never enter the event heap. The arrival trace is already in
+//! `(arrival_ns, id)` order, so the loop walks it with a cursor and takes,
+//! each step, the smaller of the cursor's arrival and the heap top under
+//! the one `(time, class, tie, payload)` key — the exact order a single
+//! heap holding both would pop. The heap holds only completions (one per
+//! shard at most), retries, resumes and faults, so its size follows the
+//! pool and the fault schedule, not the trace length.
+//!
 //! Scheduling policy, in one paragraph: admission control caps
 //! admitted-but-incomplete requests at `max_in_flight` (typed `QueueFull`
 //! rejection past it; `NoCapacity` when no shard is in service; `Shed` when
@@ -48,6 +56,13 @@
 //! so a TTFT-threatened prefill is found no matter how deep it sits in the
 //! queue (the old implementation scanned only the first 64 positions and
 //! went blind past them).
+//!
+//! A batch forms in place: the scan starts at the most urgent sequence
+//! (everything ahead of it is another priority class, so cannot share its
+//! key), stops at the cap-th match, and the members leave in one
+//! order-keeping pass — the same members and the same residual queue as
+//! rotating the whole queue through the key test, without touching the
+//! entries past the last member.
 //!
 //! Everything is a pure function of the [`ServeConfig`] (including its
 //! seed): no wall clock, no ambient randomness, no hash-order iteration on
@@ -396,8 +411,8 @@ const CLASS_COMPLETION: u8 = 2;
 const CLASS_RETRY: u8 = 3;
 const CLASS_ARRIVAL: u8 = 4;
 
-/// A heap event: `(time, class, tie, payload)` — fully ordered, so the
-/// pop sequence is a pure function of the pushes.
+/// An event: `(time, class, tie, payload)` — fully ordered, so the
+/// processing sequence is a pure function of the trace and the pushes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Ev {
     t: u64,
@@ -425,9 +440,10 @@ struct ShardState {
     /// Exact urgency index over `queue`: `(priority class, is_prefill)` →
     /// number of queued sequences in that bucket. Zero-count entries are
     /// removed, so the first key *is* the most urgent bucket present. Every
-    /// queue mutation goes through the `enqueue_*`/`dequeue_*` helpers that
-    /// keep this in sync; a sequence's bucket is stable while it waits
-    /// (phase only flips between batches, never in the queue).
+    /// queue mutation goes through the `enqueue_*`/`dequeue_*` helpers or
+    /// `form_batch`, which keep this in sync; a sequence's bucket is stable
+    /// while it waits (phase only flips between batches, never in the
+    /// queue).
     urgency: BTreeMap<(u8, bool), usize>,
     busy: Option<InFlight>,
     est_backlog_ns: u64,
@@ -441,35 +457,10 @@ struct ShardState {
     wasted_ns: u64,
 }
 
-/// How a FAULT-class event resolves: index into the legacy `faults` list
-/// or into the `chaos` list.
-enum FaultSrc {
-    Legacy(usize),
-    Chaos(usize),
-}
-
-struct Sim<'a> {
-    cfg: &'a ServeConfig,
-    shards: Vec<ShardState>,
-    seqs: Vec<SeqState>,
-    events: BinaryHeap<Reverse<Ev>>,
-    audit: Audit,
-    batch_log: Vec<BatchRecord>,
-    in_flight_requests: u64,
-    next_batch_id: u64,
-    horizon_ns: u64,
-    rejected_at_arrival: Vec<Option<RequestRecord>>,
-}
-
-/// Runs one serving trace to completion. Pure in `cfg`.
-pub fn run(cfg: &ServeConfig) -> ServeReport {
-    let requests = arrival_trace(cfg.pattern, &cfg.tenants, cfg.n_requests, cfg.seed);
-    let shards: Vec<ShardState> = cfg
-        .pool
-        .iter()
-        .enumerate()
-        .map(|(id, spec)| ShardState {
-            shard: Shard::new(id, spec.clone(), &cfg.tenants, cfg.max_batch),
+impl ShardState {
+    fn new(shard: Shard) -> ShardState {
+        ShardState {
+            shard,
             queue: VecDeque::new(),
             urgency: BTreeMap::new(),
             busy: None,
@@ -481,6 +472,52 @@ pub fn run(cfg: &ServeConfig) -> ServeReport {
             killed_batches: 0,
             preempted_batches: 0,
             wasted_ns: 0,
+        }
+    }
+}
+
+/// How a FAULT-class event resolves: index into the legacy `faults` list
+/// or into the `chaos` list.
+enum FaultSrc {
+    Legacy(usize),
+    Chaos(usize),
+}
+
+struct Sim<'a> {
+    cfg: &'a ServeConfig,
+    shards: Vec<ShardState>,
+    seqs: Vec<SeqState>,
+    /// Completions, retries, resumes and faults. Arrivals never enter it:
+    /// `run` merges them in from the sorted trace.
+    events: BinaryHeap<Reverse<Ev>>,
+    audit: Audit,
+    batch_log: Vec<BatchRecord>,
+    in_flight_requests: u64,
+    next_batch_id: u64,
+    horizon_ns: u64,
+    /// Per-request records by id: arrival-time rejections are written here
+    /// as they happen, admitted requests when the loop drains.
+    records: Vec<Option<RequestRecord>>,
+}
+
+/// Runs one serving trace to completion. Pure in `cfg`.
+pub fn run(cfg: &ServeConfig) -> ServeReport {
+    let requests = arrival_trace(cfg.pattern, &cfg.tenants, cfg.n_requests, cfg.seed);
+    // the arrival cursor below relies on this order
+    debug_assert!(
+        requests
+            .iter()
+            .enumerate()
+            .all(|(i, r)| r.id == i as u64
+                && (i == 0 || requests[i - 1].arrival_ns <= r.arrival_ns)),
+        "arrival_trace must return requests in (arrival_ns, id) order"
+    );
+    let shards: Vec<ShardState> = cfg
+        .pool
+        .iter()
+        .enumerate()
+        .map(|(id, spec)| {
+            ShardState::new(Shard::new(id, spec.clone(), &cfg.tenants, cfg.max_batch))
         })
         .collect();
 
@@ -494,7 +531,7 @@ pub fn run(cfg: &ServeConfig) -> ServeReport {
         in_flight_requests: 0,
         next_batch_id: 0,
         horizon_ns: 0,
-        rejected_at_arrival: vec![None; requests.len()],
+        records: vec![None; requests.len()],
     };
 
     // legacy faults take tie ids [0, faults.len()); chaos follows, so a
@@ -511,18 +548,30 @@ pub fn run(cfg: &ServeConfig) -> ServeReport {
         let tie = (cfg.faults.len() + i) as u64;
         sim.events.push(Reverse(Ev { t: c.at_ns, class: CLASS_FAULT, tie, payload: tie }));
     }
-    let mut records: Vec<Option<RequestRecord>> = vec![None; requests.len()];
-    for r in &requests {
-        sim.events.push(Reverse(Ev {
+
+    // two sorted streams of one key: the arrival trace (already in
+    // (arrival_ns, id) order, the order its heap events would pop in) and
+    // the heap. Taking the smaller head each step replays exactly the
+    // sequence a single heap holding both would pop.
+    let mut next_arrival = 0usize;
+    let mut events_processed: u64 = 0;
+    loop {
+        let arrival = requests.get(next_arrival).map(|r| Ev {
             t: r.arrival_ns,
             class: CLASS_ARRIVAL,
             tie: r.id,
-            payload: r.id,
-        }));
-    }
-
-    let mut events_processed: u64 = 0;
-    while let Some(Reverse(ev)) = sim.events.pop() {
+            payload: next_arrival as u64,
+        });
+        let ev = match arrival {
+            Some(a) if sim.events.peek().is_none_or(|Reverse(h)| a < *h) => {
+                next_arrival += 1;
+                a
+            }
+            _ => match sim.events.pop() {
+                Some(Reverse(h)) => h,
+                None => break,
+            },
+        };
         events_processed += 1;
         sim.horizon_ns = sim.horizon_ns.max(ev.t);
         match ev.class {
@@ -551,7 +600,7 @@ pub fn run(cfg: &ServeConfig) -> ServeReport {
             s.produced as u64 + u64::from(s.ttft_ns.is_some());
         match &s.outcome {
             Some(o) => {
-                records[s.req.id as usize] = Some(RequestRecord {
+                sim.records[s.req.id as usize] = Some(RequestRecord {
                     id: s.req.id,
                     tenant: s.req.tenant,
                     arrival_ns: s.req.arrival_ns,
@@ -562,13 +611,7 @@ pub fn run(cfg: &ServeConfig) -> ServeReport {
             None => sim.audit.stranded += 1,
         }
     }
-    // arrival-time rejections were recorded directly
-    for (i, r) in sim.rejected_at_arrival.into_iter().enumerate() {
-        if let Some(rec) = r {
-            records[i] = Some(rec);
-        }
-    }
-    let records: Vec<RequestRecord> = records.into_iter().flatten().collect();
+    let records: Vec<RequestRecord> = sim.records.into_iter().flatten().collect();
 
     let shards = sim
         .shards
@@ -953,14 +996,15 @@ impl Sim<'_> {
         *s.urgency.entry(key).or_insert(0) += 1;
     }
 
-    /// Removes one index charge for `seq_idx` (zero-count buckets drop out
-    /// so the first remaining key is always the most urgent one present).
-    fn uncharge_urgency(&mut self, sid: usize, seq_idx: usize) {
-        let key = self.urgency_key(seq_idx);
-        if let Some(c) = self.shards[sid].urgency.get_mut(&key) {
-            *c -= 1;
+    /// Removes `n` index charges from bucket `key` (zero-count buckets
+    /// drop out so the first remaining key is always the most urgent one
+    /// present).
+    fn uncharge_urgency(&mut self, sid: usize, key: (u8, bool), n: usize) {
+        let urgency = &mut self.shards[sid].urgency;
+        if let Some(c) = urgency.get_mut(&key) {
+            *c -= n;
             if *c == 0 {
-                self.shards[sid].urgency.remove(&key);
+                urgency.remove(&key);
             }
         }
     }
@@ -968,14 +1012,14 @@ impl Sim<'_> {
     /// Pops the head of `sid`'s queue, discharging the index.
     fn dequeue_front(&mut self, sid: usize) -> Option<usize> {
         let seq_idx = self.shards[sid].queue.pop_front()?;
-        self.uncharge_urgency(sid, seq_idx);
+        self.uncharge_urgency(sid, self.urgency_key(seq_idx), 1);
         Some(seq_idx)
     }
 
     /// Removes the sequence at queue position `pos`, discharging the index.
     fn dequeue_at(&mut self, sid: usize, pos: usize) -> Option<usize> {
         let seq_idx = self.shards[sid].queue.remove(pos)?;
-        self.uncharge_urgency(sid, seq_idx);
+        self.uncharge_urgency(sid, self.urgency_key(seq_idx), 1);
         Some(seq_idx)
     }
 
@@ -1000,33 +1044,59 @@ impl Sim<'_> {
             .position(|&qi| self.cfg.tenants[self.seqs[qi].req.tenant].priority == p)
     }
 
-    /// Starts a batch on `sid` keyed by its most urgent waiting sequence.
-    fn start_batch(&mut self, sid: usize, now: u64) {
+    /// Takes the next batch out of `sid`'s queue: the most urgent waiting
+    /// sequence and, behind it in queue order, up to the cap of further
+    /// sequences sharing its `(tenant, phase, bucket)` key. Returns the key
+    /// and the members in queue order; the rest of the queue keeps its
+    /// order. `None` on an empty queue.
+    ///
+    /// Every sequence ahead of the urgent front belongs to another priority
+    /// class, so none can share the key: the scan starts at the front and
+    /// stops at the cap-th match, and the members leave in one pass over
+    /// the span from the front to the last of them. All members share one
+    /// urgency bucket, charged off once.
+    fn form_batch(&mut self, sid: usize) -> Option<(usize, SeqPhase, u32, Vec<usize>)> {
+        let pos = self.urgent_front(sid)?;
         let (tenant, phase, bucket) = {
-            let front = match self.urgent_front(sid) {
-                Some(pos) => &self.seqs[self.shards[sid].queue[pos]],
-                None => return,
-            };
+            let front = &self.seqs[self.shards[sid].queue[pos]];
             (front.req.tenant, front.phase, front.bucket())
         };
         let cap = if phase == SeqPhase::Prefill { 1 } else { self.cfg.max_batch.max(1) };
+        let seqs = &self.seqs;
+        let matches = |i: usize| {
+            let s = &seqs[i];
+            s.req.tenant == tenant && s.phase == phase && s.bucket() == bucket
+        };
+        let queue = &mut self.shards[sid].queue;
         let mut members = Vec::with_capacity(cap);
-        // rotate through exactly the original occupants: matches leave the
-        // queue (and the urgency index), the rest re-append in order
-        let qlen = self.shards[sid].queue.len();
-        for _ in 0..qlen {
-            let Some(i) = self.dequeue_front(sid) else { break };
-            let s = &self.seqs[i];
-            if members.len() < cap
-                && s.req.tenant == tenant
-                && s.phase == phase
-                && s.bucket() == bucket
-            {
+        let mut last = pos;
+        for (p, &i) in queue.iter().enumerate().skip(pos) {
+            if matches(i) {
                 members.push(i);
-            } else {
-                self.enqueue_back(sid, i);
+                last = p;
+                if members.len() == cap {
+                    break;
+                }
             }
         }
+        // within [pos, last] the matches are exactly the members: slide
+        // the others back over them, order kept, then drop the vacated span
+        let mut w = last + 1;
+        for r in (pos..=last).rev() {
+            let i = queue[r];
+            if !matches(i) {
+                w -= 1;
+                queue[w] = i;
+            }
+        }
+        queue.drain(pos..w);
+        self.uncharge_urgency(sid, self.urgency_key(members[0]), members.len());
+        Some((tenant, phase, bucket, members))
+    }
+
+    /// Starts a batch on `sid` keyed by its most urgent waiting sequence.
+    fn start_batch(&mut self, sid: usize, now: u64) {
+        let Some((tenant, phase, bucket, members)) = self.form_batch(sid) else { return };
 
         // batching legality audit: every member shares the key
         for &i in &members {
@@ -1135,11 +1205,10 @@ impl Sim<'_> {
             self.audit.preemptions += 1;
             self.shards[sid].preempted_batches += 1;
             self.shards[sid].wasted_ns += now.saturating_sub(fl.start_ns);
-            // the preempting prefill jumps to the queue head: preemption
-            // must actually start it next, not re-lose the shard to
-            // whatever sits in front of it (the preempted members would
-            // otherwise push it past the urgent-front scan window and the
-            // restarted batch would be preempted again — a livelock)
+            // the preempting prefill jumps to the queue head so preemption
+            // actually starts it next: left in place, a more senior
+            // sequence of its class (or of a more urgent one) would take
+            // the freed shard and the kill would have bought nothing
             let preemptor = self.dequeue_at(sid, pos);
             // preempted members return to the head in original order, so
             // they stay senior to everything behind them; the preemptor
@@ -1207,7 +1276,7 @@ impl Sim<'_> {
 
     fn reject_at_arrival(&mut self, now: u64, req: &Request, reason: RejectReason) {
         self.audit.rejected_at_admission += 1;
-        self.rejected_at_arrival[req.id as usize] = Some(RequestRecord {
+        self.records[req.id as usize] = Some(RequestRecord {
             id: req.id,
             tenant: req.tenant,
             arrival_ns: req.arrival_ns,
@@ -1222,6 +1291,8 @@ mod tests {
     use super::*;
     use crate::pool::ShardSpec;
     use picachu_llm::ModelConfig;
+    use picachu_testkit::prop::Gen;
+    use picachu_testkit::{prop_assert_eq, prop_check};
 
     fn tiny_tenant(name: &'static str, priority: u8, slo_ns: u64) -> Tenant {
         Tenant {
@@ -1233,6 +1304,31 @@ mod tests {
             slo_ns,
             priority,
         }
+    }
+
+    /// A simulator over `shards` with nothing queued, running or pending.
+    fn test_sim(cfg: &ServeConfig, shards: Vec<Shard>) -> Sim<'_> {
+        Sim {
+            cfg,
+            shards: shards.into_iter().map(ShardState::new).collect(),
+            seqs: Vec::new(),
+            events: BinaryHeap::new(),
+            audit: Audit::default(),
+            batch_log: Vec::new(),
+            in_flight_requests: 0,
+            next_batch_id: 1,
+            horizon_ns: 0,
+            records: Vec::new(),
+        }
+    }
+
+    /// The urgency index rebuilt from scratch over `sid`'s queue.
+    fn recount(sim: &Sim<'_>, sid: usize) -> BTreeMap<(u8, bool), usize> {
+        let mut index = BTreeMap::new();
+        for &i in &sim.shards[sid].queue {
+            *index.entry(sim.urgency_key(i)).or_insert(0) += 1;
+        }
+        index
     }
 
     fn seq(tenant: usize, phase: SeqPhase, prompt: usize, slo_ns: u64) -> SeqState {
@@ -1272,31 +1368,7 @@ mod tests {
         // running batch but still reachable by preempting right now
         let prefill_cost = shard.scaled(shard.healthy_prefill_cost(VIP, 16));
         let vip_slo = 8 * prefill_cost;
-        let mut sim = Sim {
-            cfg: &cfg,
-            shards: vec![ShardState {
-                shard,
-                queue: VecDeque::new(),
-                urgency: BTreeMap::new(),
-                busy: None,
-                est_backlog_ns: 0,
-                blocked_until: 0,
-                batches: 0,
-                steps: 0,
-                busy_ns: 0,
-                killed_batches: 0,
-                preempted_batches: 0,
-                wasted_ns: 0,
-            }],
-            seqs: Vec::new(),
-            events: BinaryHeap::new(),
-            audit: Audit::default(),
-            batch_log: Vec::new(),
-            in_flight_requests: 0,
-            next_batch_id: 1,
-            horizon_ns: 0,
-            rejected_at_arrival: Vec::new(),
-        };
+        let mut sim = test_sim(&cfg, vec![shard]);
 
         // a low-priority decode batch occupies the shard until far future
         for _ in 0..2 {
@@ -1335,8 +1407,7 @@ mod tests {
         assert_eq!((sim.shards[0].queue[1], sim.shards[0].queue[2]), (0, 1));
         // the urgency index survived the churn: sum matches the queue and
         // the vip prefill actually starts next
-        let indexed: usize = sim.shards[0].urgency.values().sum();
-        assert_eq!(indexed, sim.shards[0].queue.len());
+        assert_eq!(sim.shards[0].urgency, recount(&sim, 0));
         sim.start_batch(0, 0);
         let fl = sim.shards[0].busy.as_ref().expect("prefill batch starts");
         assert!(fl.prefill);
@@ -1360,31 +1431,7 @@ mod tests {
             )
         };
         let shard = Shard::new(0, ShardSpec::Gemmini, &cfg.tenants, cfg.max_batch);
-        let mut sim = Sim {
-            cfg: &cfg,
-            shards: vec![ShardState {
-                shard,
-                queue: VecDeque::new(),
-                urgency: BTreeMap::new(),
-                busy: None,
-                est_backlog_ns: 0,
-                blocked_until: 0,
-                batches: 0,
-                steps: 0,
-                busy_ns: 0,
-                killed_batches: 0,
-                preempted_batches: 0,
-                wasted_ns: 0,
-            }],
-            seqs: Vec::new(),
-            events: BinaryHeap::new(),
-            audit: Audit::default(),
-            batch_log: Vec::new(),
-            in_flight_requests: 0,
-            next_batch_id: 1,
-            horizon_ns: 0,
-            rejected_at_arrival: Vec::new(),
-        };
+        let mut sim = test_sim(&cfg, vec![shard]);
         sim.seqs.push(seq(BULK, SeqPhase::Decode, 16, u64::MAX));
         sim.shards[0].busy = Some(InFlight {
             batch_id: 0,
@@ -1401,5 +1448,112 @@ mod tests {
         sim.preempt_for_priority(0);
         assert_eq!(sim.audit.preemptions, 0, "a doomed prefill must not shoot the batch");
         assert!(sim.shards[0].busy.is_some());
+    }
+
+    /// Batch formation as it ran before the in-place scan, kept as the
+    /// reference `form_batch` must agree with: rotate through every queued
+    /// sequence once; matches of the urgent front's key leave (up to the
+    /// cap), the rest re-append in order.
+    fn form_batch_by_rotation(
+        sim: &mut Sim<'_>,
+        sid: usize,
+    ) -> Option<(usize, SeqPhase, u32, Vec<usize>)> {
+        let (tenant, phase, bucket) = {
+            let pos = sim.urgent_front(sid)?;
+            let front = &sim.seqs[sim.shards[sid].queue[pos]];
+            (front.req.tenant, front.phase, front.bucket())
+        };
+        let cap = if phase == SeqPhase::Prefill { 1 } else { sim.cfg.max_batch.max(1) };
+        let mut members = Vec::new();
+        for _ in 0..sim.shards[sid].queue.len() {
+            let Some(i) = sim.dequeue_front(sid) else { break };
+            let s = &sim.seqs[i];
+            if members.len() < cap
+                && s.req.tenant == tenant
+                && s.phase == phase
+                && s.bucket() == bucket
+            {
+                members.push(i);
+            } else {
+                sim.enqueue_back(sid, i);
+            }
+        }
+        Some((tenant, phase, bucket, members))
+    }
+
+    /// Over seeded random queues — mixed tenants, priority classes, phases
+    /// and buckets, with head insertions as preemption makes them, removals
+    /// at any position and completed members re-entering at the tail — the
+    /// in-place `form_batch` picks the same members as the rotation and
+    /// leaves the same queue, and the urgency index always equals a recount
+    /// of the queue.
+    #[test]
+    fn in_place_batch_formation_matches_the_rotation_reference() {
+        const NAMES: [&str; 3] = ["fa", "fb", "fc"];
+        prop_check!(40, 0xBA7C_4001, |g: &mut Gen| {
+            let tenants: Vec<Tenant> = (0..g.draw(1..=3usize))
+                .map(|t| tiny_tenant(NAMES[t], g.draw(0..3u32) as u8, u64::MAX))
+                .collect();
+            let cfg = ServeConfig {
+                max_batch: g.draw(1..9usize),
+                ..ServeConfig::new(
+                    tenants,
+                    ArrivalPattern::Poisson { mean_gap_ns: 1e6 },
+                    vec![ShardSpec::Gemmini],
+                )
+            };
+            let shard = Shard::new(0, ShardSpec::Gemmini, &cfg.tenants, cfg.max_batch);
+            let mut sim = test_sim(&cfg, vec![shard]);
+            let mut idle: Vec<usize> = Vec::new();
+            for i in 0..g.draw(1..40usize) {
+                let tenant = g.draw(0..cfg.tenants.len());
+                let phase = if g.draw(0..2u32) == 0 { SeqPhase::Prefill } else { SeqPhase::Decode };
+                let prompt = [8, 12, 16, 24, 32][g.draw(0..5usize)];
+                sim.seqs.push(seq(tenant, phase, prompt, u64::MAX));
+                idle.push(i);
+            }
+            for _ in 0..g.draw(1..80usize) {
+                match g.draw(0..6u32) {
+                    0 | 1 if !idle.is_empty() => {
+                        let i = idle.swap_remove(g.draw(0..idle.len()));
+                        sim.enqueue_back(0, i);
+                    }
+                    2 if !idle.is_empty() => {
+                        let i = idle.swap_remove(g.draw(0..idle.len()));
+                        sim.enqueue_front(0, i);
+                    }
+                    3 if !sim.shards[0].queue.is_empty() => {
+                        let pos = g.draw(0..sim.shards[0].queue.len());
+                        idle.extend(sim.dequeue_at(0, pos));
+                    }
+                    _ => {
+                        let before = (sim.shards[0].queue.clone(), sim.shards[0].urgency.clone());
+                        let want = form_batch_by_rotation(&mut sim, 0);
+                        let want_left =
+                            (sim.shards[0].queue.clone(), sim.shards[0].urgency.clone());
+                        (sim.shards[0].queue, sim.shards[0].urgency) = before;
+                        let got = sim.form_batch(0);
+                        prop_assert_eq!(got, want);
+                        prop_assert_eq!(
+                            (sim.shards[0].queue.clone(), sim.shards[0].urgency.clone()),
+                            want_left
+                        );
+                        // the step completes: prefills turn to decode, a
+                        // decode's context may cross into the next bucket
+                        for m in got.map(|(_, _, _, members)| members).unwrap_or_default() {
+                            let s = &mut sim.seqs[m];
+                            if s.phase == SeqPhase::Prefill {
+                                s.phase = SeqPhase::Decode;
+                            } else {
+                                s.context += g.draw(0..9usize);
+                            }
+                            idle.push(m);
+                        }
+                    }
+                }
+                prop_assert_eq!(sim.shards[0].urgency, recount(&sim, 0));
+            }
+            Ok(())
+        });
     }
 }
